@@ -1,0 +1,9 @@
+"""Make ``repro`` importable from the checkout's ``src`` for the benchmark's
+own tests (``python3 -m pytest rfbench``)."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
