@@ -6,11 +6,13 @@ span intersects it; a point query reports the blocks whose span contains the
 key.  Precision is limited by block-level granularity, which is why fence
 pointers lose to PRFs on point and small-range queries (Fig. 9.D) while
 remaining cheap and exact at block granularity.
+
+The bounds are two ``uint64`` arrays, so a whole batch of probes resolves
+with a couple of ``np.searchsorted`` calls; the scalar probes are the batch
+arithmetic applied to a one-element batch.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -24,8 +26,8 @@ class FencePointers:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
-        self._mins: list[int] = []
-        self._maxs: list[int] = []
+        self._mins = np.zeros(0, dtype=np.uint64)
+        self._maxs = np.zeros(0, dtype=np.uint64)
         self._num_keys = 0
 
     @classmethod
@@ -53,8 +55,8 @@ class FencePointers:
             # next start (or at the final key).
             starts = np.arange(0, keys.size, block_size)
             ends = np.minimum(starts + block_size, keys.size) - 1
-            fences._mins = keys[starts].tolist()
-            fences._maxs = keys[ends].tolist()
+            fences._mins = keys[starts]
+            fences._maxs = keys[ends]
         fences._num_keys = int(keys.size)
         return fences
 
@@ -64,7 +66,7 @@ class FencePointers:
 
     @property
     def num_blocks(self) -> int:
-        return len(self._mins)
+        return int(self._mins.size)
 
     @property
     def size_bits(self) -> int:
@@ -72,26 +74,52 @@ class FencePointers:
         return 128 * self.num_blocks
 
     # ------------------------------------------------------------------
+    def _point_blocks(self, keys: np.ndarray) -> np.ndarray:
+        """Per key, the index of the block whose span holds it, else -1."""
+        # Blocks are sorted and non-overlapping for a sorted run; at most one
+        # block matches: the last one whose minimum is <= key.
+        idx = np.searchsorted(self._mins, keys, side="right") - 1
+        if self.num_blocks == 0:
+            return idx  # all -1
+        inside = (idx >= 0) & (keys <= self._maxs[np.maximum(idx, 0)])
+        return np.where(inside, idx, -1)
+
+    def _range_spans(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per range, the half-open block-index span ``[first, stop)`` that
+        intersects ``[lo, hi]`` (empty when ``stop <= first``)."""
+        if np.any(lo > hi):
+            i = int(np.argmax(lo > hi))
+            raise ValueError(f"empty query range [{int(lo[i])}, {int(hi[i])}]")
+        # First block ending at or after lo; blocks from there on whose
+        # minimum is <= hi intersect the range.
+        first = np.searchsorted(self._maxs, lo, side="left")
+        stop = np.searchsorted(self._mins, hi, side="right")
+        return first, stop
+
+    def blocks_for_point_many(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask: does some block's ``[min, max]`` contain ``keys[i]``?"""
+        return self._point_blocks(np.asarray(keys, dtype=np.uint64)) >= 0
+
+    def blocks_for_range_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Number of blocks intersecting each ``[lo[i], hi[i]]``."""
+        first, stop = self._range_spans(
+            np.asarray(lo, dtype=np.uint64), np.asarray(hi, dtype=np.uint64)
+        )
+        return np.maximum(stop - first, 0)
+
     def blocks_for_point(self, key: int) -> list[int]:
         """Indices of blocks whose [min, max] contains ``key``."""
-        # Blocks are sorted and non-overlapping for a sorted run; at most one
-        # block matches, found by binary search over the block minima.
-        idx = bisect.bisect_right(self._mins, key) - 1
-        if idx >= 0 and self._mins[idx] <= key <= self._maxs[idx]:
-            return [idx]
-        return []
+        idx = int(self._point_blocks(np.array([key], dtype=np.uint64))[0])
+        return [idx] if idx >= 0 else []
 
     def blocks_for_range(self, l_key: int, r_key: int) -> list[int]:
         """Indices of blocks intersecting ``[l_key, r_key]``."""
-        if l_key > r_key:
-            raise ValueError(f"empty query range [{l_key}, {r_key}]")
-        first = bisect.bisect_right(self._maxs, l_key - 1) if l_key else 0
-        out = []
-        for idx in range(first, self.num_blocks):
-            if self._mins[idx] > r_key:
-                break
-            out.append(idx)
-        return out
+        first, stop = self._range_spans(
+            np.array([l_key], dtype=np.uint64), np.array([r_key], dtype=np.uint64)
+        )
+        return list(range(int(first[0]), int(stop[0])))
 
     def contains_point(self, key: int) -> bool:
         return bool(self.blocks_for_point(key))

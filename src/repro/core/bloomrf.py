@@ -391,23 +391,31 @@ class BloomRF:
         return True
 
     def contains_point_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized point lookup: boolean array per key."""
+        """Vectorized point lookup: boolean array per key.
+
+        ``live`` indexes the keys no probe has rejected yet; it is compacted
+        after the exact-bitmap test and after every hash, so each (layer,
+        replica) round hashes and tests only the survivors — the batch form
+        of the scalar walk's stop at the first zero bit.
+        """
         keys = self._validated_keys(keys)
-        result = np.ones(keys.size, dtype=bool)
+        live = np.arange(keys.size)
         if self._exact is not None:
-            result &= self._exact.test_bits(
-                keys >> np.uint64(self.config.exact_level)
-            )
+            live = live[
+                self._exact.test_bits(keys >> np.uint64(self.config.exact_level))
+            ]
         for layer in self._layers:
-            if not result.any():
+            if live.size == 0:
                 break
-            prefix = keys >> layer.u_level
+            prefix = keys[live] >> layer.u_level
             group = prefix >> layer.u_offset_bits
-            offset = self._offsets_array(layer, prefix, group)
-            base = layer.u_seg_base + offset
+            base = layer.u_seg_base + self._offsets_array(layer, prefix, group)
             for seed in layer.seeds:
                 word_index = splitmix64_array(group, seed=seed) % layer.u_num_words
-                result &= self._bits.test_bits(base + word_index * layer.u_word_bits)
+                hit = self._bits.test_bits(base + word_index * layer.u_word_bits)
+                live, group, base = live[hit], group[hit], base[hit]
+        result = np.zeros(keys.size, dtype=bool)
+        result[live] = True
         return result
 
     __contains__ = contains_point

@@ -445,28 +445,30 @@ class LsmDB:
         Bit-identical to looping :meth:`get` (asserted by the tests), with
         identical filter-stats and I/O accounting, but every run's filter
         block is consulted once per batch through its bulk interface.
+        The batch is sorted once (stable argsort) and every run sees an
+        ascending key array; answers scatter back into caller order.
         Batch-wide pruning mirrors the scalar walk's early exit: a key
         settled by the memtable or an earlier (newer) run stops probing
-        older runs, so each run only sees its still-unresolved keys.
+        older runs, so each run only sees its still-unresolved keys — a
+        subsequence of the sorted batch, hence still sorted.
         """
         keys = self._validated_keys(keys)
-        n = keys.size
-        result = np.zeros(n, dtype=bool)
-        if n == 0:
+        result = np.zeros(keys.size, dtype=bool)
+        if keys.size == 0:
             return result
-        unresolved = np.ones(n, dtype=bool)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        at = np.arange(keys.size)  # sorted positions of the unresolved keys
         if len(self.memtable):
-            known, live = self.memtable.lookup_many(keys)
-            result[known] = live[known]
-            unresolved &= ~known
+            known, is_live = self.memtable.lookup_many(keys)
+            result[order[known]] = is_live[known]
+            at = np.flatnonzero(~known)
         for sst in self.sstables:
-            if not unresolved.any():
+            if at.size == 0:
                 break
-            idx = np.nonzero(unresolved)[0]
-            found, tombstone = sst.get_many(keys[idx], self.stats, self.device)
-            settled = idx[found]
-            result[settled] = ~tombstone[found]
-            unresolved[settled] = False
+            found, tombstone = sst.get_many(keys[at], self.stats, self.device)
+            result[order[at[found]]] = ~tombstone[found]
+            at = at[~found]
         return result
 
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
@@ -474,21 +476,24 @@ class LsmDB:
 
         The point counterpart of :meth:`scan_may_contain`: every run's
         filter block is consulted through its bulk interface (one batch
-        probe per SST), then the memtable.  Pure filter CPU — no fence
-        lookups and no block reads are charged, and tombstones are *not*
-        resolved (a filter cannot un-insert).  A True is a *may-contain* —
-        resolve with :meth:`get_many` when the exact answer matters.
+        probe per SST, over the batch sorted once), then the memtable.
+        Pure filter CPU — no fence lookups and no block reads are charged,
+        and tombstones are *not* resolved (a filter cannot un-insert).  A
+        True is a *may-contain* — resolve with :meth:`get_many` when the
+        exact answer matters.
         """
         keys = self._validated_keys(keys)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        result = np.zeros(keys.size, dtype=bool)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        hit = np.zeros(keys.size, dtype=bool)
         for sst in self.sstables:
-            result |= sst.probe_filter_points_many(keys, self.stats)
+            hit |= sst.probe_filter_points_many(keys, self.stats)
         if len(self.memtable):
             known, _ = self.memtable.lookup_many(keys)
-            result |= known
-        return result
+            hit |= known
+        return self._unsorted(order, hit)
 
     def scan_nonempty(self, l_key: int, r_key: int) -> bool:
         """Does ``[l_key, r_key]`` hold any live key? (Exp. 1's probe shape).
@@ -533,47 +538,63 @@ class LsmDB:
             )
         return arr
 
+    @staticmethod
+    def _unsorted(order: np.ndarray, answers: np.ndarray) -> np.ndarray:
+        """Scatter answers computed on ``batch[order]`` back into the
+        caller's batch order."""
+        result = np.empty_like(answers)
+        result[order] = answers
+        return result
+
+    @staticmethod
+    def _sorted_bounds(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds[order])``: the batch sorted once by ``lo``
+        (stable), so every run's ground-truth search sees sorted needles."""
+        order = np.argsort(bounds[:, 0], kind="stable")
+        return order, bounds[order]
+
     def scan_may_contain(self, bounds: np.ndarray) -> np.ndarray:
         """Batched filter-level emptiness probe: may ``[lo, hi]`` be non-empty?
 
         One boolean per ``(lo, hi)`` row; every run's filter block is
-        consulted through its bulk interface (one batch probe per SST
-        instead of one scalar probe per query per SST), then the memtable.
-        Pure filter CPU — no fence lookups and no block reads are charged.
-        A True is a *may-contain* — resolve with :meth:`scan_nonempty_many`
-        or :meth:`scan` when the exact answer matters.
+        consulted through its bulk interface (one batch probe per SST over
+        the batch sorted once by ``lo``), then the memtable.  Pure filter
+        CPU — no fence lookups and no block reads are charged.  A True is
+        a *may-contain* — resolve with :meth:`scan_nonempty_many` or
+        :meth:`scan` when the exact answer matters.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        result = np.zeros(bounds.shape[0], dtype=bool)
+        order, bounds = self._sorted_bounds(bounds)
+        hit = np.zeros(bounds.shape[0], dtype=bool)
         for sst in self.sstables:
-            result |= sst.probe_filter_many(bounds, self.stats)
+            hit |= sst.probe_filter_many(bounds, self.stats)
         if len(self.memtable):
-            result |= self.memtable.contains_range_many(bounds)
-        return result
+            hit |= self.memtable.contains_range_many(bounds)
+        return self._unsorted(order, hit)
 
     def scan_nonempty_many(self, bounds: np.ndarray) -> np.ndarray:
         """Batched :meth:`scan_nonempty`: one boolean per ``(lo, hi)`` row.
 
-        Filter probes run batched per SST (the fast path the Fig. 9/12
-        benchmarks exercise); only filter-positive (query, run) pairs fall
+        Filter probes run batched per SST over the batch sorted once by
+        ``lo`` (the fast path the Fig. 9/12 benchmarks exercise); only
+        queries some run truly answers, and the memtable does not, fall
         back to the merging scan for version reconciliation.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        n = bounds.shape[0]
-        candidates: list[list[SSTable]] = [[] for _ in range(n)]
-        for sst in self.sstables:
-            hits = sst.scan_many(bounds, self.stats, self.device)
-            for i in np.nonzero(hits)[0]:
-                candidates[i].append(sst)
+        order, bounds = self._sorted_bounds(bounds)
+        runs = self.sstables
+        hits = [sst.scan_many(bounds, self.stats, self.device) for sst in runs]
         out = self.memtable.contains_range_many(bounds)
-        for i, (lo, hi) in enumerate(zip(bounds[:, 0].tolist(), bounds[:, 1].tolist(), strict=True)):
-            if not out[i] and candidates[i]:
-                out[i] = bool(self._merge_scan(lo, hi, candidates[i], limit=1))
-        return out
+        any_hit = np.logical_or.reduce(hits) if hits else np.zeros_like(out)
+        for i in np.flatnonzero(any_hit & ~out).tolist():
+            lo, hi = int(bounds[i, 0]), int(bounds[i, 1])
+            candidates = [sst for sst, hit in zip(runs, hits, strict=True) if hit[i]]
+            out[i] = bool(self._merge_scan(lo, hi, candidates, limit=1))
+        return self._unsorted(order, out)
 
     def scan(self, l_key: int, r_key: int, limit: int | None = None):
         """Merged live entries in range, newest version wins, sorted by key.

@@ -99,6 +99,92 @@ class TestFencePointers:
         fences = FencePointers.build(np.arange(100, dtype=np.uint64), 10)
         assert fences.size_bits == 128 * 10
 
+    @given(
+        st.lists(u64, min_size=1, max_size=200),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_methods_match_scalar(self, keys, data):
+        """blocks_for_point_many / blocks_for_range_many == the scalar
+        probes, on runs with block sizes from 1 to beyond the run."""
+        keys = sorted(keys)
+        block_size = data.draw(
+            st.one_of(
+                st.just(1),
+                st.integers(min_value=2, max_value=16),
+                st.integers(min_value=len(keys), max_value=len(keys) + 5),
+            )
+        )
+        fences = FencePointers.build(np.array(keys, dtype=np.uint64), block_size)
+        # Stored keys, their neighbours (keys in the gaps between blocks),
+        # the domain ends and arbitrary keys.
+        probes = sorted(
+            {0, U64}
+            | set(keys)
+            | {k + 1 for k in keys if k < U64}
+            | {k - 1 for k in keys if k > 0}
+            | set(data.draw(st.lists(u64, max_size=20)))
+        )
+        # Naive oracle: every block's [min, max], checked one by one.
+        spans = [
+            (keys[s], keys[min(s + block_size, len(keys)) - 1])
+            for s in range(0, len(keys), block_size)
+        ]
+        got = fences.blocks_for_point_many(np.array(probes, dtype=np.uint64))
+        assert got.dtype == bool
+        assert got.tolist() == [
+            bool(fences.blocks_for_point(key)) for key in probes
+        ]
+        assert got.tolist() == [
+            any(mn <= key <= mx for mn, mx in spans) for key in probes
+        ]
+        ranges = [(0, U64), (0, 0), (U64, U64), (keys[0], keys[-1])]
+        ranges += [
+            (min(a, b), max(a, b))
+            for a, b in data.draw(st.lists(st.tuples(u64, u64), max_size=20))
+        ]
+        ranges += [
+            (min(a, b), max(a, b)) for a, b in zip(probes, reversed(probes), strict=True)
+        ]
+        lo = np.array([r[0] for r in ranges], dtype=np.uint64)
+        hi = np.array([r[1] for r in ranges], dtype=np.uint64)
+        counts = fences.blocks_for_range_many(lo, hi)
+        assert counts.tolist() == [
+            len(fences.blocks_for_range(a, b)) for a, b in ranges
+        ]
+        assert counts.tolist() == [
+            sum(mn <= b and mx >= a for mn, mx in spans) for a, b in ranges
+        ]
+        # The full-domain range covers every block.
+        assert int(counts[0]) == fences.num_blocks
+
+    def test_batch_methods_on_empty_inputs(self):
+        fences = FencePointers.build(np.arange(10, dtype=np.uint64), 3)
+        empty = np.zeros(0, dtype=np.uint64)
+        assert fences.blocks_for_point_many(empty).shape == (0,)
+        assert fences.blocks_for_range_many(empty, empty).shape == (0,)
+        unbuilt = FencePointers()
+        assert unbuilt.blocks_for_point_many(np.array([5], dtype=np.uint64)).tolist() == [False]
+        assert unbuilt.blocks_for_range(0, U64) == []
+        assert unbuilt.blocks_for_point(5) == []
+
+    def test_batch_range_rejects_inverted_bounds(self):
+        fences = FencePointers.build(np.arange(10, dtype=np.uint64), 3)
+        with pytest.raises(ValueError, match=r"empty query range \[5, 4\]"):
+            fences.blocks_for_range_many(
+                np.array([0, 5], dtype=np.uint64), np.array([9, 4], dtype=np.uint64)
+            )
+
+    def test_scalar_probes_return_block_indices(self):
+        fences = FencePointers.build(np.array([10, 20, 30, 40, 50], dtype=np.uint64), 2)
+        # Blocks: [10, 20], [30, 40], [50, 50].
+        assert fences.blocks_for_point(20) == [0]
+        assert fences.blocks_for_point(25) == []
+        assert fences.blocks_for_point(50) == [2]
+        assert fences.blocks_for_range(15, 35) == [0, 1]
+        assert fences.blocks_for_range(21, 29) == []
+        assert fences.blocks_for_range(0, U64) == [0, 1, 2]
+
 
 class TestCuckoo:
     @given(st.sets(u64, min_size=1, max_size=400))

@@ -134,6 +134,76 @@ class TestVectorizedEquivalence:
         assert list(a.contains_point_many(keys[:50])) == [True] * 50
 
 
+class TestPrunedPointProbe:
+    """contains_point_many hashes only the keys no earlier probe rejected;
+    its answers must stay those of the scalar contains_point."""
+
+    def exact_guard_filter(self):
+        config = BloomRFConfig(
+            domain_bits=16,
+            deltas=(4, 4, 4),
+            replicas=(2, 1, 1),
+            segment_of=(0, 0, 0),
+            segment_bits=(1024,),
+            exact_level=12,
+            degenerate_guard=True,
+        )
+        return BloomRF(config)
+
+    @staticmethod
+    def count_hashed(monkeypatch):
+        """Patch the module's vector hash to count the elements it hashes."""
+        import repro.core.bloomrf as module
+
+        hashed = []
+        real = module.splitmix64_array
+
+        def counting(values, seed=0):
+            hashed.append(values.size)
+            return real(values, seed=seed)
+
+        monkeypatch.setattr(module, "splitmix64_array", counting)
+        return hashed
+
+    @given(
+        st.lists(u16, min_size=1, max_size=120, unique=True),
+        st.lists(u16, max_size=200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_bitmap_and_guard_match_scalar(self, keys, extra):
+        filt = self.exact_guard_filter()
+        filt.insert_many(np.array(keys, dtype=np.uint64))
+        probe = keys + extra + list(reversed(keys))
+        got = filt.contains_point_many(np.array(probe, dtype=np.uint64))
+        assert got.tolist() == [filt.contains_point(k) for k in probe]
+
+    def test_exact_bitmap_empties_batch_before_layer_zero(self, monkeypatch):
+        filt = self.exact_guard_filter()
+        filt.insert(42)  # level-12 prefix 0: keys >= 4096 are rejected exactly
+        probe = np.arange(1 << 12, 1 << 16, 97, dtype=np.uint64)
+        hashed = self.count_hashed(monkeypatch)
+        got = filt.contains_point_many(probe)
+        assert not got.any()
+        assert hashed == [], "no key survives the exact bitmap to be hashed"
+        assert got.tolist() == [filt.contains_point(int(k)) for k in probe]
+
+    def test_rejected_keys_are_not_hashed_again(self, monkeypatch):
+        filt = BloomRF.basic(n_keys=64, bits_per_key=10, domain_bits=16, delta=4)
+        filt.insert_many(np.arange(0, 64, dtype=np.uint64))
+        probe = np.arange(1 << 12, 1 << 16, 3, dtype=np.uint64)
+        hashed = self.count_hashed(monkeypatch)
+        got = filt.contains_point_many(probe)
+        assert hashed[0] == probe.size
+        assert sum(hashed) < probe.size * len(hashed)
+        assert got.tolist() == [filt.contains_point(int(k)) for k in probe]
+
+    def test_empty_batch(self):
+        filt = self.exact_guard_filter()
+        filt.insert(7)
+        got = filt.contains_point_many(np.array([], dtype=np.uint64))
+        assert got.shape == (0,) and got.dtype == bool
+
+
 class TestExactLayer:
     def make(self):
         config = BloomRFConfig(

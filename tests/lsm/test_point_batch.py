@@ -65,6 +65,28 @@ class TestGetManyMatchesScalar:
         assert batch_stats.blocks_read == scalar_stats.blocks_read
         assert batch_stats.io_wait_s == pytest.approx(scalar_stats.io_wait_s)
 
+    def test_residual_cpu_is_charged(self):
+        """Ground truth, fences and bookkeeping land in residual_cpu_s;
+        the exactness counters carry no timing."""
+        db, keys = build_db(SpecPolicy("bloomrf", bits_per_key=16))
+        db.reset_stats()
+        db.get_many(mixed_lookups(keys))
+        stats = db.reset_stats()
+        assert stats.residual_cpu_s > 0
+        assert stats.filter_cpu_s > 0
+        assert stats.breakdown()["residual_cpu_s"] == stats.residual_cpu_s
+        assert set(stats.counters()) == {
+            "filter_probes",
+            "filter_positives",
+            "filter_true_positives",
+            "filter_false_positives",
+            "filter_true_negatives",
+            "blocks_read",
+        }
+        lo = keys[:100]
+        db.scan_nonempty_many(np.stack([lo, lo + np.uint64(1000)], axis=1))
+        assert db.reset_stats().residual_cpu_s > 0
+
     def test_memtable_and_tombstones_settle_before_runs(self):
         db = LsmDB(
             policy=SpecPolicy("bloomrf", bits_per_key=14),
