@@ -661,6 +661,7 @@ def _cmd_store_inspect(args) -> int:
     from pathlib import Path
 
     from repro.api import FilterSpec
+    from repro.core import native
     from repro.lsm.compaction import (
         SizeTieredPolicy,
         coerce_compaction,
@@ -681,6 +682,7 @@ def _cmd_store_inspect(args) -> int:
         manifest = read_store_manifest(root)
         engine = manifest["engine"]
         print(f"engine: {engine} (store format v{FORMAT_VERSION})")
+        print(f"probe_engine: {native.engine}")
         if engine == "sharded-lsm":
             where = root
             specs = [

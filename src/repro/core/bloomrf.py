@@ -60,23 +60,36 @@ on randomized oracles and batch-vs-scalar bit-identity across configs.
 Run ``PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py`` for the
 batch-vs-scalar throughput benchmark (``--quick`` for the CI smoke mode).
 
+Native probe kernel
+-------------------
+When :mod:`repro.core.native` could build and load ``_probe.c``,
+``contains_point_many`` / ``contains_range_many`` validate their input as
+above and then resolve the whole batch in one C call that runs the scalar
+walk per item (stop at the first zero bit; Algorithm 1 with the exact
+bitmap, guard flip and ``_MAX_MASK_GROUPS`` cutoff).  Otherwise they run
+the NumPy sweeps (``_sweep_points`` / ``_sweep_ranges``), which are also
+the kernel's bit-exact oracle in the tests.
+
 Thread-safety: mutation happens through single NumPy word-level OR
 operations, which CPython executes atomically under the GIL, so concurrent
 inserts and probes never observe torn words (they may race benignly, exactly
-like the paper's parallel filter).
+like the paper's parallel filter).  The native kernel runs without the GIL
+and reads words with relaxed atomic loads, so the same holds for it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro._util import check_key, domain_max
 from repro.bitarray import BitArray
+from repro.core import native
 from repro.core.config import BloomRFConfig
 from repro.dyadic import two_path_range_lookup
-from repro.hashing import splitmix64, splitmix64_array
+from repro.hashing import splitmix64, splitmix64_array, splitmix64_increment
 
 __all__ = ["BloomRF"]
 
@@ -216,6 +229,20 @@ class BloomRF:
 
         self._num_keys = 0
         self._guard = config.degenerate_guard
+
+        # Native kernel geometry: one row of native.FIELDS uint64 per layer
+        # (see _probe.c) plus the flat replica seed increments.
+        adds: list[int] = []
+        rows = []
+        for layer in self._layers:
+            rows.append((
+                layer.level, layer.offset_bits, layer.word_bits, layer.num_words,
+                layer.seg_base, int(self._guard and layer.offset_bits > 0),
+                splitmix64_increment(layer.guard_seed), len(adds), len(layer.seeds),
+            ))
+            adds.extend(splitmix64_increment(seed) for seed in layer.seeds)
+        self._native_geo = np.array(rows, dtype=np.uint64).reshape(-1, native.FIELDS)
+        self._native_adds = np.array(adds, dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # introspection
@@ -391,14 +418,42 @@ class BloomRF:
         return True
 
     def contains_point_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized point lookup: boolean array per key.
+        """Batched point lookup: boolean array per key.
+
+        One native kernel call when available, else :meth:`_sweep_points`;
+        both answer exactly like :meth:`contains_point` per key.
+        """
+        keys = self._validated_keys(keys)
+        if native.kernel is None:
+            return self._sweep_points(keys)
+        keys = np.ascontiguousarray(keys).reshape(-1)
+        out = np.empty(keys.size, dtype=bool)
+        native.kernel.brf_point(
+            *self._kernel_args(), keys.ctypes.data, keys.size, out.ctypes.data
+        )
+        return out
+
+    def _kernel_args(self) -> tuple:
+        """Leading kernel arguments: geometry and the live word arrays
+        (kept alive by ``self`` for the duration of the call)."""
+        exact = self._exact
+        return (
+            self._native_geo.ctypes.data,
+            len(self._layers),
+            self._native_adds.ctypes.data,
+            self._bits.words.ctypes.data,
+            None if exact is None else exact.words.ctypes.data,
+            self.config.exact_level or 0,
+        )
+
+    def _sweep_points(self, keys: np.ndarray) -> np.ndarray:
+        """NumPy point lookup over validated keys (kernel fallback/oracle).
 
         ``live`` indexes the keys no probe has rejected yet; it is compacted
         after the exact-bitmap test and after every hash, so each (layer,
         replica) round hashes and tests only the survivors — the batch form
         of the scalar walk's stop at the first zero bit.
         """
-        keys = self._validated_keys(keys)
         live = np.arange(keys.size)
         if self._exact is not None:
             live = live[
@@ -441,6 +496,23 @@ class BloomRF:
     def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
         """Batched range lookup over an ``(n, 2)`` array of inclusive bounds.
 
+        One native kernel call when available, else :meth:`_sweep_ranges`;
+        both answer exactly like :meth:`contains_range` per row.
+        """
+        bounds = self._validated_bounds(bounds)
+        if native.kernel is None:
+            return self._sweep_ranges(bounds)
+        bounds = np.ascontiguousarray(bounds)
+        out = np.empty(bounds.shape[0], dtype=bool)
+        native.kernel.brf_range(
+            *self._kernel_args(), _MAX_MASK_GROUPS,
+            bounds.ctypes.data, bounds.shape[0], out.ctypes.data,
+        )
+        return out
+
+    def _sweep_ranges(self, bounds: np.ndarray) -> np.ndarray:
+        """NumPy range lookup over validated bounds (kernel fallback/oracle).
+
         Emits the same probe program :func:`~repro.dyadic.compile_range_plan`
         reifies per query, but batch-wide: one top-down sweep over the layers
         where each step computes the layer's covering/decomposition probes
@@ -451,7 +523,6 @@ class BloomRF:
         early exits applied batch-wide (dead or decided queries leave the
         live sets).
         """
-        bounds = self._validated_bounds(bounds)
         n = bounds.shape[0]
         if n == 0:
             return np.zeros(0, dtype=bool)
@@ -883,14 +954,11 @@ class BloomRF:
         seed: int = 0x5EED,
     ) -> "BloomRF":
         """Advisor-tuned bloomRF for ranges up to ``max_range`` (Sect. 7)."""
-        from repro.core.advisor import TuningAdvisor
-
-        advisor = TuningAdvisor(domain_bits=domain_bits, point_weight=point_weight)
-        config = advisor.configure(
-            n_keys=n_keys, total_bits=int(n_keys * bits_per_key), max_range=max_range
-        )
         return cls(
-            BloomRFConfig.from_dict({**config.to_dict(), "seed": seed})
+            _tuned_config(
+                n_keys, int(n_keys * bits_per_key), max_range, domain_bits,
+                point_weight, seed,
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -898,6 +966,27 @@ class BloomRF:
             f"BloomRF(keys={self._num_keys}, bits={self.size_bits}, "
             f"{self.config.describe()})"
         )
+
+
+@functools.lru_cache(maxsize=256)
+def _tuned_config(
+    n_keys: int,
+    total_bits: int,
+    max_range: int,
+    domain_bits: int,
+    point_weight: float,
+    seed: int,
+) -> BloomRFConfig:
+    """The advisor's (immutable) config, computed once per argument set.
+
+    The advisor's budget sweep costs milliseconds, and every flush of a
+    full memtable asks it the same question again.
+    """
+    from repro.core.advisor import TuningAdvisor
+
+    advisor = TuningAdvisor(domain_bits=domain_bits, point_weight=point_weight)
+    config = advisor.configure(n_keys=n_keys, total_bits=total_bits, max_range=max_range)
+    return BloomRFConfig.from_dict({**config.to_dict(), "seed": seed})
 
 
 def max_supported_key(filt: BloomRF) -> int:

@@ -21,6 +21,7 @@ from repro._util import MASK64
 __all__ = [
     "splitmix64",
     "splitmix64_array",
+    "splitmix64_increment",
     "HashFamily",
     "double_hash_positions",
     "double_hash_positions_array",
@@ -40,10 +41,15 @@ def splitmix64(value: int, seed: int = 0) -> int:
     return z ^ (z >> 31)
 
 
+def splitmix64_increment(seed: int) -> int:
+    """The 64-bit constant :func:`splitmix64` adds to its input for ``seed``."""
+    return (seed * _GOLDEN + _GOLDEN) & MASK64
+
+
 def splitmix64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized :func:`splitmix64` over a ``uint64`` array."""
     z = values.astype(np.uint64, copy=True)
-    z += np.uint64((seed * _GOLDEN + _GOLDEN) & MASK64)
+    z += np.uint64(splitmix64_increment(seed))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_C1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_C2)
     return z ^ (z >> np.uint64(31))

@@ -578,9 +578,11 @@ class LsmDB:
         """Batched :meth:`scan_nonempty`: one boolean per ``(lo, hi)`` row.
 
         Filter probes run batched per SST over the batch sorted once by
-        ``lo`` (the fast path the Fig. 9/12 benchmarks exercise); only
-        queries some run truly answers, and the memtable does not, fall
-        back to the merging scan for version reconciliation.
+        ``lo`` (the fast path the Fig. 9/12 benchmarks exercise).  When no
+        run and no memtable entry holds a tombstone nothing can shadow a
+        run's entry, so a run holding one answers the query outright;
+        otherwise queries some run truly answers, and the memtable does
+        not, fall back to the merging scan for version reconciliation.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
@@ -590,6 +592,11 @@ class LsmDB:
         hits = [sst.scan_many(bounds, self.stats, self.device) for sst in runs]
         out = self.memtable.contains_range_many(bounds)
         any_hit = np.logical_or.reduce(hits) if hits else np.zeros_like(out)
+        if not (
+            self.memtable.has_tombstones
+            or any(sst.has_tombstones for sst in runs)
+        ):
+            return self._unsorted(order, out | any_hit)
         for i in np.flatnonzero(any_hit & ~out).tolist():
             lo, hi = int(bounds[i, 0]), int(bounds[i, 1])
             candidates = [sst for sst, hit in zip(runs, hits, strict=True) if hit[i]]

@@ -33,13 +33,22 @@ TOMBSTONE = _Tombstone()
 
 
 class MemTable:
-    """Unsorted write buffer with sorted flush; newest write wins."""
+    """Unsorted write buffer with sorted flush; newest write wins.
+
+    Batched range reads use a cached snapshot — the sorted live keys and
+    the tombstone count — tagged with a mutation counter that every
+    mutator bumps *after* it mutates.  A snapshot is used only while its
+    tag equals the counter, so one built while a writer was mid-update is
+    dropped as soon as that writer finishes and is never served stale.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, bytes | _Tombstone] = {}
+        self._mutations = 0
+        self._snapshot: tuple[int, np.ndarray, int] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -51,6 +60,7 @@ class MemTable:
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
         self._entries[key] = value
+        self._mutations += 1
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
@@ -65,19 +75,22 @@ class MemTable:
         keys = np.asarray(keys, dtype=np.uint64).tolist()
         if values is None:
             self._entries.update(dict.fromkeys(keys, b""))
-            return
-        if len(values) != len(keys):
+        elif len(values) != len(keys):
             raise ValueError("values must align with keys")
-        self._entries.update(zip(keys, values, strict=True))
+        else:
+            self._entries.update(zip(keys, values, strict=True))
+        self._mutations += 1
 
     def delete(self, key: int) -> None:
         """Record a tombstone (shadows older versions on lower levels)."""
         self._entries[key] = TOMBSTONE
+        self._mutations += 1
 
     def delete_many(self, keys: np.ndarray) -> None:
         """Bulk :meth:`delete`: tombstone every key in one dict update."""
         keys = np.asarray(keys, dtype=np.uint64).tolist()
         self._entries.update(dict.fromkeys(keys, TOMBSTONE))
+        self._mutations += 1
 
     # ------------------------------------------------------------------
     def get(self, key: int) -> bytes | _Tombstone | None:
@@ -122,26 +135,44 @@ class MemTable:
             for key, value in self._entries.items()
         )
 
+    def live_snapshot(self) -> tuple[np.ndarray, int]:
+        """``(sorted live keys, tombstone count)``, rebuilt only after a
+        mutation (see the class docstring)."""
+        tag = self._mutations
+        snapshot = self._snapshot
+        if snapshot is not None and snapshot[0] == tag:
+            return snapshot[1], snapshot[2]
+        # dict.copy() runs no Python code, so no writer thread can resize
+        # the dict mid-copy (iterating it directly can raise).
+        items = self._entries.copy()
+        live = np.fromiter(
+            (k for k, v in items.items() if v is not TOMBSTONE), dtype=np.uint64
+        )
+        live.sort()
+        tombstones = len(items) - live.size
+        self._snapshot = (tag, live, tombstones)
+        return live, tombstones
+
+    @property
+    def has_tombstones(self) -> bool:
+        """Does any buffered entry delete a key?"""
+        return bool(self._entries) and self.live_snapshot()[1] > 0
+
     def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains_range` over ``(n, 2)`` inclusive bounds.
 
-        One sorted snapshot of the live keys serves the whole batch — a
-        ``searchsorted`` per query instead of an O(entries) Python scan per
-        query, which is what the batched DB scan paths were paying per run
-        *and per shard* before this existed.
+        The cached sorted snapshot of the live keys serves the whole batch —
+        a ``searchsorted`` per query instead of an O(entries) Python scan per
+        query, and no rebuild while the memtable is unchanged.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         n = bounds.shape[0]
         result = np.zeros(n, dtype=bool)
         if not self._entries or n == 0:
             return result
-        live = np.fromiter(
-            (k for k, v in self._entries.items() if v is not TOMBSTONE),
-            dtype=np.uint64,
-        )
+        live, _ = self.live_snapshot()
         if live.size == 0:
             return result
-        live.sort()
         idx = np.searchsorted(live, bounds[:, 0])
         safe = np.minimum(idx, live.size - 1)
         return (idx < live.size) & (live[safe] <= bounds[:, 1])
@@ -165,6 +196,7 @@ class MemTable:
         keys = np.fromiter(self._entries.keys(), dtype=np.uint64, count=n)
         raw = list(self._entries.values())
         self._entries.clear()
+        self._mutations += 1
         order = np.argsort(keys)
         keys = keys[order]
         tombstones = np.fromiter(

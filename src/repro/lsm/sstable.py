@@ -58,6 +58,8 @@ class SSTable:
             if tombstones is not None
             else np.zeros(keys.size, dtype=bool)
         )
+        # Without a tombstone no entry here can shadow an older run's key.
+        self.has_tombstones = bool(self.tombstones.any())
         self.value_bytes = value_bytes
         self.block_bytes = block_bytes
         self.entries_per_block = max(1, block_bytes // (_KEY_BYTES + value_bytes))

@@ -47,6 +47,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core import native
 from repro.server.protocol import (
     ProtocolError,
     decode_value,
@@ -320,6 +321,7 @@ class Coalescer:
             "breakdown": stats.breakdown(),
             "num_keys": int(store.num_keys),
             "num_sstables": int(getattr(store, "num_sstables", 0)),
+            "probe_engine": native.engine,
         }
         wal_info = getattr(store, "wal_info", None)
         if callable(wal_info):

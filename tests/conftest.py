@@ -27,6 +27,15 @@ def pytest_addoption(parser):
         parser.addini("timeout_method", "timeout method (no-op fallback)")
 
 
+@pytest.fixture
+def numpy_probe(monkeypatch):
+    """Pin BloomRF's batched probes to the NumPy sweep (the kernel's
+    fallback and oracle) for one test."""
+    from repro.core import native
+
+    monkeypatch.setattr(native, "kernel", None)
+
+
 @pytest.fixture(scope="session")
 def small_keys() -> np.ndarray:
     """5k distinct uniform 64-bit keys, sorted."""

@@ -177,6 +177,7 @@ class TestPrunedPointProbe:
         got = filt.contains_point_many(np.array(probe, dtype=np.uint64))
         assert got.tolist() == [filt.contains_point(k) for k in probe]
 
+    @pytest.mark.usefixtures("numpy_probe")  # counts the NumPy sweep's hashing
     def test_exact_bitmap_empties_batch_before_layer_zero(self, monkeypatch):
         filt = self.exact_guard_filter()
         filt.insert(42)  # level-12 prefix 0: keys >= 4096 are rejected exactly
@@ -187,6 +188,7 @@ class TestPrunedPointProbe:
         assert hashed == [], "no key survives the exact bitmap to be hashed"
         assert got.tolist() == [filt.contains_point(int(k)) for k in probe]
 
+    @pytest.mark.usefixtures("numpy_probe")  # counts the NumPy sweep's hashing
     def test_rejected_keys_are_not_hashed_again(self, monkeypatch):
         filt = BloomRF.basic(n_keys=64, bits_per_key=10, domain_bits=16, delta=4)
         filt.insert_many(np.arange(0, 64, dtype=np.uint64))
@@ -342,6 +344,25 @@ class TestApiContracts:
         bounds = np.array([[90, 110], [400, 450], [4999, 5001]], dtype=np.uint64)
         got = filt.contains_range_many(bounds)
         assert got[0] and got[2]
+
+    def test_tuned_asks_the_advisor_once_per_argument_set(self, monkeypatch):
+        from repro.core.advisor import TuningAdvisor
+
+        calls = []
+        real = TuningAdvisor.configure
+
+        def counting(self, *args, **kwargs):
+            calls.append(args or kwargs)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TuningAdvisor, "configure", counting)
+        args = {"n_keys": 777, "bits_per_key": 13, "max_range": 1 << 17, "seed": 99}
+        first, second = BloomRF.tuned(**args), BloomRF.tuned(**args)
+        assert len(calls) == 1
+        assert first.config is second.config
+        assert first.pmhf_bits is not second.pmhf_bits
+        fresh = TuningAdvisor().configure(777, 777 * 13, 1 << 17)
+        assert first.config == BloomRFConfig.from_dict({**fresh.to_dict(), "seed": 99})
 
 
 class TestFprSanity:

@@ -4,7 +4,8 @@ Every batched read (``get_many``, ``may_contain_many``,
 ``scan_may_contain``, ``scan_nonempty_many``) must answer in caller order
 and charge exactly the counters of the per-key loop, whatever the batch
 order: reversed, with duplicates, or already sorted.  Checked on runs with
-tombstones and a non-empty memtable, in memory and sharded.
+tombstones and a non-empty memtable, in memory and sharded, under the
+native probe kernel (when it loaded) and under the NumPy sweep.
 """
 
 import numpy as np
@@ -121,3 +122,8 @@ class TestOrderLadder:
         assert store.scan_nonempty_many(probe[::-1]).tolist() == [
             k not in deleted for k in keys[:50].tolist()[::-1]
         ]
+
+
+@pytest.mark.usefixtures("numpy_probe")
+class TestOrderLadderNumpy(TestOrderLadder):
+    """The same ladder with the filters probed by the NumPy sweep."""

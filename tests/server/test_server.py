@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import FilterSpec, open_store
+from repro.core import native
 from repro.server import AsyncStoreClient, ServerError, StoreClient
 from repro.server.protocol import MAX_FRAME_BYTES
 
@@ -87,6 +88,7 @@ class TestRoundTrips:
                 assert stats["num_keys"] == 3
                 assert stats["counters"]["filter_probes"] >= 0
                 assert "breakdown" in stats
+                assert stats["probe_engine"] == native.engine
 
     def test_empty_batches(self, store, running_server):
         with running_server(store) as server:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import native
 
 
 class TestParser:
@@ -165,6 +166,7 @@ class TestStoreCommands:
         assert main(["store", "inspect", str(store)]) == 0
         out = capsys.readouterr().out
         assert "engine: lsm" in out
+        assert f"probe_engine: {native.engine}\n" in out
         assert "FilterSpec('bloom'" in out
 
     def test_init_compressed_store_round_trip(self, tmp_path, capsys):
